@@ -59,6 +59,12 @@ cargo test -q --release -p daas-serve --test serve_gate -- --ignored --test-thre
 #      records nothing (DESIGN.md §15). ----
 cargo test -q --release -p daas-serve --test scrape_gate -- --ignored --test-threads 1
 
+# ---- Benchmark correctness: the end-to-end benchmark's checks each
+#      fail on a deliberately corrupted micro-scale output, all three
+#      workloads run clean at micro scale (traced and untraced), and
+#      the metric catalogue matches BENCHMARK.json. ----
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- --self-test
+
 # ---- Scale-sweep smoke: the columnar arena must complete a multi-×
 #      run with bounded memory. A small multiplier keeps the smoke
 #      fast; the RSS ceiling (generous for the 0.25 world, which peaks

@@ -39,7 +39,6 @@ fn main() {
     let run = daas_cli::Pipeline::live(
         &config,
         &snowball,
-        0,
         window_blocks,
         &MeasureConfig::sequential(),
         |_| {},

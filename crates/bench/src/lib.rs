@@ -90,24 +90,12 @@ pub fn measure_config() -> daas_measure::MeasureConfig {
     daas_measure::MeasureConfig { threads }
 }
 
-/// Reads `DAAS_SHARDS` (default 0 = the built-in default): the single
-/// shard knob for the chain's history and asset-state maps and the
-/// detector's classification memo. Panics on a non-power-of-two so a
-/// typo fails loudly instead of silently misconfiguring the layout.
-pub fn shard_count() -> usize {
-    let shards: usize =
-        std::env::var("DAAS_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    assert!(shards == 0 || shards.is_power_of_two(), "DAAS_SHARDS must be a power of two");
-    shards
-}
-
 /// Builds the standard pipeline at the env-configured seed/scale,
-/// honouring `DAAS_THREADS` and `DAAS_SHARDS`.
+/// honouring `DAAS_THREADS`.
 pub fn standard_pipeline() -> daas_cli::Pipeline {
     let (seed, scale) = env_config();
     let snowball = snowball_config();
-    let shards = shard_count();
     let config = daas_world::WorldConfig { scale, ..daas_world::WorldConfig::paper_scale(seed) };
     eprintln!("[exp] seed {seed}, scale {scale}, threads {}", snowball.effective_threads());
-    daas_cli::run_pipeline_sharded(&config, &snowball, shards).expect("pipeline builds")
+    daas_cli::run_pipeline(&config, &snowball).expect("pipeline builds")
 }

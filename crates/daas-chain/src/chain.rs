@@ -1,17 +1,16 @@
 //! The ledger: state, execution engine, and explorer-style query API.
 
-use eth_types::{keccak256, AddrId, Address, U256};
+use eth_types::{keccak256, AddrId, Address, FxHashMap, FxHashSet, U256};
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 use crate::account::{AccountKind, ContractKind, ProfitSharingSpec};
 use crate::asset::{Asset, TokenKind, TokenMeta};
-use crate::assets::{ShardedMap, ShardedSet};
 use crate::block::{
     block_number_at, BlockHeader, Timestamp, GENESIS_TIMESTAMP, SECONDS_PER_BLOCK,
 };
 use crate::error::ChainError;
-use crate::hash::DetMap;
-use crate::shard::{ChainReader, ShardedHistories};
+use crate::detmap::DetMap;
+use crate::reader::{history_of, push_history, ChainReader};
 use crate::store::{TxStore, TxView};
 use crate::tx::{Approval, CallInfo, Transaction, Transfer, TxId};
 
@@ -43,8 +42,9 @@ pub struct ChainStats {
 /// no transaction is recorded.
 ///
 /// Storage is columnar since the interned-address refactor: transactions
-/// live in a [`TxStore`] arena and every hot map (history, asset state)
-/// is keyed by interned [`AddrId`]s. The serialized artifact is
+/// live in a [`TxStore`] arena, the account-history index is a
+/// `Vec<Vec<TxId>>` indexed by interned [`AddrId`], and the asset-state
+/// maps are keyed by interned ids. The serialized artifact is
 /// **byte-identical** to the pre-columnar format — the manual serde
 /// impls below materialize transactions and resolve every id back to
 /// its address (ids are instance-local and never reach disk).
@@ -55,14 +55,15 @@ pub struct Chain {
     store: TxStore,
     accounts: DetMap<Address, AccountInfo>,
     tokens: DetMap<Address, TokenMeta>,
-    // Tuple-keyed asset state lives in sharded maps (see `assets`):
-    // power-of-two Arc-backed shards, copy-on-write, keyed by interned
-    // ids so every probe hashes 4-byte integers.
-    erc20_balances: ShardedMap<(AddrId, AddrId), U256>,
-    erc20_allowances: ShardedMap<(AddrId, AddrId, AddrId), U256>,
-    nft_owners: ShardedMap<(AddrId, u64), AddrId>,
-    nft_operators: ShardedSet<(AddrId, AddrId, AddrId)>,
-    history: ShardedHistories,
+    // Tuple-keyed asset state, keyed by interned ids so every probe
+    // Fx-hashes a few 4-byte integers.
+    erc20_balances: FxHashMap<(AddrId, AddrId), U256>,
+    erc20_allowances: FxHashMap<(AddrId, AddrId, AddrId), U256>,
+    nft_owners: FxHashMap<(AddrId, u64), AddrId>,
+    nft_operators: FxHashSet<(AddrId, AddrId, AddrId)>,
+    /// Account history: `history[id]` lists the ids of the transactions
+    /// touching interned account `id`, in chain order.
+    history: Vec<Vec<TxId>>,
 }
 
 impl Chain {
@@ -130,7 +131,7 @@ impl Chain {
         self.expect_token(token, TokenKind::Erc20)?;
         self.expect_account(to)?;
         let key = (self.store.intern(token), self.store.intern(to));
-        let entry = self.erc20_balances.get_mut_or_insert(key, U256::ZERO);
+        let entry = self.erc20_balances.entry(key).or_insert(U256::ZERO);
         *entry = entry.saturating_add(amount);
         Ok(())
     }
@@ -281,7 +282,7 @@ impl Chain {
     /// walks (§5.1).
     pub fn txs_of(&self, address: Address) -> &[TxId] {
         match self.store.addr_id(address) {
-            Some(id) => self.history.txs_of(id),
+            Some(id) => history_of(&self.history, id),
             None => &[],
         }
     }
@@ -290,7 +291,7 @@ impl Chain {
     /// the zero-hash hot-path form of [`Chain::txs_of`].
     #[inline]
     pub fn txs_of_id(&self, id: AddrId) -> &[TxId] {
-        self.history.txs_of(id)
+        history_of(&self.history, id)
     }
 
     /// The interned id of `address`, if the chain has seen it.
@@ -306,38 +307,10 @@ impl Chain {
     }
 
     /// A copyable, `Sync` read-only view over the tx arena and the
-    /// sharded history index — the cheap handle worker threads take
+    /// history index — the cheap handle worker threads take
     /// instead of borrowing the whole chain.
     pub fn reader(&self) -> ChainReader<'_> {
         ChainReader::new(&self.store, &self.history)
-    }
-
-    /// An owned (`Arc`-backed) snapshot of the sharded history index.
-    /// Cloning is one `Arc` bump per shard; later chain mutations are
-    /// invisible to the snapshot (copy-on-write).
-    pub fn history_view(&self) -> ShardedHistories {
-        self.history.clone()
-    }
-
-    /// Rebuilds the history index with a different (power-of-two) shard
-    /// count. Data — and the serialized artifact — are unchanged; only
-    /// the memory layout moves. Used by the shard-count equivalence
-    /// suite.
-    pub fn set_history_shards(&mut self, shards: usize) {
-        self.history = self.history.resharded(shards);
-    }
-
-    /// Rebuilds *every* sharded structure — the history index and the
-    /// four asset-state maps — with the same (power-of-two) shard count.
-    /// This is the single knob `daas-cli --shards` / `DAAS_SHARDS`
-    /// expose; like [`Chain::set_history_shards`], it changes memory
-    /// layout only, never data or the serialized artifact.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.history = self.history.resharded(shards);
-        self.erc20_balances = self.erc20_balances.resharded(shards);
-        self.erc20_allowances = self.erc20_allowances.resharded(shards);
-        self.nft_owners = self.nft_owners.resharded(shards);
-        self.nft_operators = self.nft_operators.resharded(shards);
     }
 
     /// Looks up a transaction by id — a cheap `Copy` view into the
@@ -867,8 +840,8 @@ impl Chain {
         let t = self.store.intern(token);
         let f = self.store.intern(from);
         let d = self.store.intern(to);
-        *self.erc20_balances.get_mut_or_insert((t, f), U256::ZERO) = have - amount;
-        let dst = self.erc20_balances.get_mut_or_insert((t, d), U256::ZERO);
+        self.erc20_balances.insert((t, f), have - amount);
+        let dst = self.erc20_balances.entry((t, d)).or_insert(U256::ZERO);
         *dst = dst.saturating_add(amount);
         Ok(())
     }
@@ -965,7 +938,7 @@ impl Chain {
         let mut touched = Vec::with_capacity(2 + transfers.len() * 2);
         self.store.touched_ids_into(id, &mut touched);
         for addr_id in touched {
-            self.history.push(addr_id, id);
+            push_history(&mut self.history, addr_id, id);
         }
         id
     }
@@ -993,8 +966,8 @@ impl Serialize for Chain {
             txs.push(val::<S, _>(&self.store.to_transaction(id))?);
         }
 
-        // Asset maps: resolve ids to addresses, then emit the same
-        // sorted entry lists the address-keyed ShardedMap/Set serialize
+        // Asset maps: resolve ids to addresses, then emit the sorted
+        // entry lists the pre-columnar address-keyed maps serialized
         // to.
         let mut balances: Vec<((Address, Address), &U256)> = self
             .erc20_balances
@@ -1032,10 +1005,14 @@ impl Serialize for Chain {
         // History: the flat address-keyed map, entries sorted by the
         // serialized key string (addresses serialize as lowercase hex,
         // so string order == byte order) — exactly what the HashMap
-        // delegate emitted pre-refactor.
-        let mut history: Vec<(String, Value)> = Vec::with_capacity(self.history.accounts());
-        for (&id, txids) in self.history.iter() {
-            history.push((self.store.resolve(id).to_hex(), val::<S, _>(txids)?));
+        // delegate emitted pre-refactor. Interned accounts without
+        // history (a faucet mint's holder) have no entry.
+        let mut history: Vec<(String, Value)> = Vec::with_capacity(self.history.len());
+        let addresses = self.store.interner().addresses();
+        for (txids, addr) in self.history.iter().zip(addresses) {
+            if !txids.is_empty() {
+                history.push((addr.to_hex(), val::<S, _>(txids)?));
+            }
         }
         history.sort_by(|a, b| a.0.cmp(&b.0));
 
@@ -1086,30 +1063,30 @@ impl<'de> Deserialize<'de> for Chain {
         let _ = serde::take_field_opt(&mut map, "history");
 
         let mut store = TxStore::from_transactions(txs);
-        let mut history = ShardedHistories::new();
+        let mut history = Vec::new();
         let mut touched = Vec::new();
         for id in 0..store.len() as TxId {
             store.touched_ids_into(id, &mut touched);
             for &addr_id in &touched {
-                history.push(addr_id, id);
+                push_history(&mut history, addr_id, id);
             }
         }
 
-        let mut erc20_balances = ShardedMap::default();
+        let mut erc20_balances = FxHashMap::default();
         for ((t, h), v) in balances {
             erc20_balances.insert((store.intern(t), store.intern(h)), v);
         }
-        let mut erc20_allowances = ShardedMap::default();
+        let mut erc20_allowances = FxHashMap::default();
         for ((t, o, s), v) in allowances {
             erc20_allowances.insert((store.intern(t), store.intern(o), store.intern(s)), v);
         }
-        let mut nft_owners = ShardedMap::default();
+        let mut nft_owners = FxHashMap::default();
         for ((t, id), owner) in owners {
             let key = (store.intern(t), id);
             let owner = store.intern(owner);
             nft_owners.insert(key, owner);
         }
-        let mut nft_operators = ShardedSet::default();
+        let mut nft_operators = FxHashSet::default();
         for (t, o, p) in operators {
             nft_operators.insert((store.intern(t), store.intern(o), store.intern(p)));
         }

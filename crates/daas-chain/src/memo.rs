@@ -1,13 +1,13 @@
 //! A sharded concurrent memo table for pure-function results.
 //!
-//! This is the pattern the detector's `ClassificationCache` established
-//! in PR 1, lifted into the chain crate so every downstream consumer
-//! (classification, per-account feature extraction, family forensics)
-//! shares one implementation and one shard-count constant
-//! ([`DEFAULT_SHARDS`](crate::shard::DEFAULT_SHARDS)) with the chain
-//! store itself.
+//! The detector's `ClassificationCache` and `FeatureCache` both memoise
+//! on this one implementation. Keys are placed on 16 (`MEMO_SHARDS`)
+//! shards by the workspace's one shard-placement function,
+//! [`eth_types::fx_shard`] (the Fx hash's middle bits — the same
+//! placement `txgraph::CowMap` uses), and each shard's table is an
+//! `FxHashMap`.
 //!
-//! Correctness argument (same as PR 1): the memo only ever stores the
+//! Correctness argument: the memo only ever stores the
 //! result of a *pure* function of its key (plus immutable context), so
 //! the table's contents are independent of which worker computed an
 //! entry first or in what order — parallel fills can never change what
@@ -20,43 +20,15 @@
 //! `cache.*.hit`/`cache.*.miss` observability counters and the
 //! `stats()` accessors of the classification and feature caches.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use eth_types::Address;
+use eth_types::{fx_shard, FxHashMap};
 use parking_lot::RwLock;
 
-use crate::shard::{shard_index, DEFAULT_SHARDS};
-use crate::tx::TxId;
-
-/// Keys that know which shard they live in. The mapping must be
-/// deterministic across runs (no `RandomState`).
-pub trait ShardKey {
-    /// Shard index for this key among `mask + 1` (power-of-two) shards.
-    fn shard(&self, mask: usize) -> usize;
-}
-
-impl ShardKey for TxId {
-    #[inline]
-    fn shard(&self, mask: usize) -> usize {
-        *self as usize & mask
-    }
-}
-
-impl ShardKey for Address {
-    #[inline]
-    fn shard(&self, mask: usize) -> usize {
-        shard_index(*self, mask)
-    }
-}
-
-impl ShardKey for eth_types::AddrId {
-    #[inline]
-    fn shard(&self, mask: usize) -> usize {
-        crate::shard::shard_index_id(*self, mask)
-    }
-}
+/// Number of shards in every [`ShardedMemo`] (a power of two): enough
+/// that parallel expansion workers rarely meet on one lock.
+const MEMO_SHARDS: usize = 16;
 
 /// Aggregated memo counters — see [`ShardedMemo::stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,8 +40,6 @@ pub struct MemoStats {
     pub misses: u64,
     /// Memoised entries.
     pub entries: usize,
-    /// Entries per shard, in shard order (the occupancy-balance view).
-    pub per_shard: Vec<usize>,
 }
 
 impl MemoStats {
@@ -85,25 +55,28 @@ impl MemoStats {
 }
 
 struct Shard<K, V> {
-    map: RwLock<HashMap<K, V>>,
+    map: RwLock<FxHashMap<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
-        Shard { map: RwLock::new(HashMap::new()), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
+        Shard {
+            map: RwLock::new(FxHashMap::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
 }
 
-/// A sharded `RwLock<HashMap>` memo. `Sync` whenever `K`/`V` are
+/// A sharded `RwLock<FxHashMap>` memo. `Sync` whenever `K`/`V` are
 /// `Send + Sync`; readers on different shards never contend.
 pub struct ShardedMemo<K, V> {
-    mask: usize,
     shards: Vec<Shard<K, V>>,
 }
 
-impl<K: ShardKey + Hash + Eq, V: Clone> Default for ShardedMemo<K, V> {
+impl<K: Hash + Eq, V: Clone> Default for ShardedMemo<K, V> {
     fn default() -> Self {
         Self::new()
     }
@@ -115,34 +88,15 @@ impl<K, V> std::fmt::Debug for ShardedMemo<K, V> {
     }
 }
 
-impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
-    /// An empty memo with [`DEFAULT_SHARDS`] shards.
+impl<K: Hash + Eq, V: Clone> ShardedMemo<K, V> {
+    /// An empty memo with `MEMO_SHARDS` shards.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty memo with `shards` shards. Must be a power of two
-    /// (debug-asserted; release builds round down to one).
-    pub fn with_shards(shards: usize) -> Self {
-        debug_assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two, got {shards}"
-        );
-        let n = if shards.is_power_of_two() { shards } else { 1 };
-        ShardedMemo {
-            mask: n - 1,
-            shards: (0..n).map(|_| Shard::default()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        ShardedMemo { shards: (0..MEMO_SHARDS).map(|_| Shard::default()).collect() }
     }
 
     #[inline]
     fn shard(&self, key: &K) -> &Shard<K, V> {
-        &self.shards[key.shard(self.mask)]
+        &self.shards[fx_shard(key, MEMO_SHARDS - 1)]
     }
 
     /// Returns the memoised value for `key`, computing and storing it
@@ -191,21 +145,18 @@ impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
         self.len() == 0
     }
 
-    /// Aggregated hit/miss counters and per-shard occupancy.
+    /// Aggregated hit/miss counters and occupancy.
     pub fn stats(&self) -> MemoStats {
         let mut stats = MemoStats::default();
         for shard in &self.shards {
             stats.hits += shard.hits.load(Ordering::Relaxed);
             stats.misses += shard.misses.load(Ordering::Relaxed);
-            let len = shard.map.read().len();
-            stats.entries += len;
-            stats.per_shard.push(len);
+            stats.entries += shard.map.read().len();
         }
         stats
     }
 
-    /// Drops every entry and resets the counters (keeps the shard
-    /// layout).
+    /// Drops every entry and resets the counters.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.map.write().clear();
@@ -218,6 +169,7 @@ impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::TxId;
 
     #[test]
     fn memoises_and_counts() {
@@ -242,47 +194,27 @@ mod tests {
     }
 
     #[test]
-    fn configurable_shard_count() {
-        for shards in [1, 2, 8, 64] {
-            let memo: ShardedMemo<TxId, ()> = ShardedMemo::with_shards(shards);
-            assert_eq!(memo.shard_count(), shards);
-            for id in 0..100 {
-                memo.get_or_compute(id, || ());
-            }
-            assert_eq!(memo.len(), 100);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    #[cfg(debug_assertions)]
-    fn non_power_of_two_asserts() {
-        let _: ShardedMemo<TxId, ()> = ShardedMemo::with_shards(6);
-    }
-
-    #[test]
-    fn address_keys_shard_deterministically() {
-        let memo: ShardedMemo<Address, u8> = ShardedMemo::with_shards(4);
-        let a = Address([9; 20]);
+    fn address_keys_memoise() {
+        let memo: ShardedMemo<eth_types::Address, u8> = ShardedMemo::new();
+        let a = eth_types::Address([9; 20]);
         memo.get_or_compute(a, || 1);
         assert_eq!(memo.get(&a), Some(1));
     }
 
     #[test]
     fn stats_track_hits_misses_and_occupancy() {
-        let memo: ShardedMemo<TxId, u64> = ShardedMemo::with_shards(4);
-        assert_eq!(memo.stats(), MemoStats { per_shard: vec![0; 4], ..Default::default() });
+        let memo: ShardedMemo<TxId, u64> = ShardedMemo::new();
+        assert_eq!(memo.stats(), MemoStats::default());
 
         memo.get_or_compute(0, || 1); // miss
         memo.get_or_compute(0, || 1); // hit
-        memo.get_or_compute(1, || 2); // miss (shard 1)
+        memo.get_or_compute(1, || 2); // miss
         assert!(memo.contains(&0), "contains is not counted");
         assert_eq!(memo.get(&5), None); // miss
         let stats = memo.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.entries, 2);
-        assert_eq!(stats.per_shard, vec![1, 1, 0, 0]);
         assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
 
         memo.clear();

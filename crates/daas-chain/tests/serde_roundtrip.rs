@@ -53,67 +53,45 @@ fn json_roundtrip_preserves_everything() {
     }
 }
 
-/// The asset maps moved from flat `HashMap`s serialized via
-/// `entry_list`/`entry_set` (a `Vec` of entries sorted by key) into
-/// sharded maps. Prove at the type level that the sharded encoding is
-/// byte-identical to the legacy flat one.
+/// A serialize → deserialize → serialize cycle is byte-stable.
 #[test]
-fn sharded_maps_serialize_like_preshard_flat_maps() {
-    use daas_chain::{ShardedMap, ShardedSet};
-    use eth_types::Address;
-    use std::collections::{HashMap, HashSet};
-
-    let addr = |n: u8| Address([n; 20]);
-
-    let mut sharded: ShardedMap<(Address, Address), U256> = ShardedMap::with_shards(16);
-    let mut legacy: HashMap<(Address, Address), U256> = HashMap::new();
-    for n in (0..48u8).rev() {
-        sharded.insert((addr(n), addr(n.wrapping_mul(7))), U256::from_u64(n as u64));
-        legacy.insert((addr(n), addr(n.wrapping_mul(7))), U256::from_u64(n as u64));
-    }
-    // The legacy `entry_list` encoding: entries sorted by key.
-    let mut entries: Vec<(&(Address, Address), &U256)> = legacy.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    assert_eq!(
-        serde_json::to_string(&sharded).unwrap(),
-        serde_json::to_string(&entries).unwrap(),
-        "ShardedMap must serialize exactly like the pre-shard entry list"
-    );
-
-    let mut sharded_set: ShardedSet<(Address, Address, Address)> = ShardedSet::with_shards(16);
-    let mut legacy_set: HashSet<(Address, Address, Address)> = HashSet::new();
-    for n in (0..48u8).rev() {
-        sharded_set.insert((addr(n), addr(n.wrapping_add(1)), addr(n.wrapping_add(2))));
-        legacy_set.insert((addr(n), addr(n.wrapping_add(1)), addr(n.wrapping_add(2))));
-    }
-    // The legacy `entry_set` encoding: members sorted.
-    let mut members: Vec<&(Address, Address, Address)> = legacy_set.iter().collect();
-    members.sort();
-    assert_eq!(
-        serde_json::to_string(&sharded_set).unwrap(),
-        serde_json::to_string(&members).unwrap(),
-        "ShardedSet must serialize exactly like the pre-shard entry set"
-    );
-}
-
-/// Shard counts are memory layout, never data: the chain artifact must
-/// not change by a byte when everything is resharded.
-#[test]
-fn chain_json_is_byte_identical_across_shard_counts() {
-    let chain = build_chain();
-    let reference = serde_json::to_string(&chain).unwrap();
-    for shards in [1usize, 4, 16, 64] {
-        let mut resharded = chain.clone();
-        resharded.set_shards(shards);
-        assert_eq!(
-            serde_json::to_string(&resharded).unwrap(),
-            reference,
-            "chain JSON changed at {shards} shards"
-        );
-    }
-    // And a serialize → deserialize → serialize cycle is stable.
+fn chain_json_reserializes_byte_identically() {
+    let reference = serde_json::to_string(&build_chain()).unwrap();
     let back: Chain = serde_json::from_str(&reference).unwrap();
     assert_eq!(serde_json::to_string(&back).unwrap(), reference);
+}
+
+/// The history index is indexed by interned id, and the chain interns
+/// addresses that never appear in a transaction (a faucet mint's
+/// holder). Such accounts must not appear in the serialized history —
+/// the address-keyed format only ever listed accounts with
+/// transactions.
+#[test]
+fn serialized_history_lists_only_accounts_with_transactions() {
+    let mut chain = build_chain();
+    let op = chain.create_eoa_funded(b"s/op2", ether(1)).unwrap();
+    let usdt = chain.deploy_token(op, "USDT", 6, TokenKind::Erc20).unwrap();
+    let holder = chain.create_eoa(b"s/holder").unwrap();
+    chain.mint_erc20(usdt, holder, U256::from_u64(7)).unwrap();
+    assert!(chain.txs_of(holder).is_empty());
+
+    let serde::Value::Map(fields) = serde::to_value(&chain).unwrap() else {
+        panic!("chain serializes as a map");
+    };
+    let Some((_, serde::Value::Map(history))) = fields.iter().find(|(k, _)| k == "history")
+    else {
+        panic!("history map");
+    };
+    let listed: Vec<&str> = history.iter().map(|(k, _)| k.as_str()).collect();
+    assert!(!listed.contains(&holder.to_hex().as_str()), "holder without txs listed");
+    assert!(listed.contains(&op.to_hex().as_str()));
+    let with_txs = chain.addresses().filter(|&a| !chain.txs_of(a).is_empty()).count();
+    assert_eq!(listed.len(), with_txs);
+
+    let json = serde_json::to_string(&chain).unwrap();
+    let back: Chain = serde_json::from_str(&json).unwrap();
+    assert_eq!(back.erc20_balance(usdt, holder), U256::from_u64(7));
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! measurement bundle built once for every renderer.
 //!
 //! Two drivers share every stage implementation:
-//! * [`run_pipeline`] / [`run_pipeline_sharded`] — the one-shot batch
+//! * [`run_pipeline`] — the one-shot batch
 //!   run the paper's tables are rendered from;
 //! * [`Pipeline::live`] — the streaming replay, now a thin client over
 //!   the [`daas_serve::Engine`] (the chain delivered in block windows
@@ -115,12 +115,11 @@ impl Pipeline {
     pub fn live(
         config: &WorldConfig,
         snowball: &SnowballConfig,
-        shards: usize,
         window_blocks: u64,
         measure_cfg: &MeasureConfig,
         on_window: impl FnMut(&LiveWindowStats),
     ) -> Result<LiveRun, String> {
-        Self::live_opts(config, snowball, shards, window_blocks, measure_cfg, true, on_window)
+        Self::live_opts(config, snowball, window_blocks, measure_cfg, true, on_window)
     }
 
     /// [`Pipeline::live`] with the batch re-verification behind a flag.
@@ -131,7 +130,6 @@ impl Pipeline {
     pub fn live_opts(
         config: &WorldConfig,
         snowball: &SnowballConfig,
-        shards: usize,
         window_blocks: u64,
         measure_cfg: &MeasureConfig,
         verify: bool,
@@ -141,7 +139,7 @@ impl Pipeline {
             return Err("window must span at least one block".into());
         }
         let t0 = Instant::now();
-        let mut engine = Engine::new(config, snowball, shards)?;
+        let mut engine = Engine::new(config, snowball)?;
         let t1 = Instant::now();
 
         let mut windows = Vec::new();
@@ -210,8 +208,7 @@ fn to_json<T: serde::Serialize>(value: &T) -> Result<String, String> {
     serde_json::to_string(value).map_err(|e| e.to_string())
 }
 
-/// Publishes the per-stage wall clocks (`pipeline.stage_ms{stage=…}`),
-/// the chain's history-shard occupancy (`shard.histories.len{shard}`),
+/// Publishes the per-stage wall clocks (`pipeline.stage_ms{stage=…}`)
 /// and the columnar arena's heap footprint
 /// (`chain.arena.bytes{column=…}`) into the obs registry. The
 /// `--timings` line and the `--metrics-out` summary read these gauges
@@ -223,9 +220,6 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
     for (stage, took) in stages {
         daas_obs::gauge_l("pipeline.stage_ms", "stage", stage, took.as_secs_f64() * 1e3);
     }
-    for (i, len) in chain.reader().histories().shard_sizes().into_iter().enumerate() {
-        daas_obs::gauge_l("shard.histories.len", "shard", &i.to_string(), len as f64);
-    }
     for (column, bytes) in chain.transactions().column_bytes() {
         daas_obs::gauge_l("chain.arena.bytes", "column", column, bytes as f64);
     }
@@ -235,24 +229,10 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
 /// `threads` knob drives the world planner and the clustering worker
 /// pool too.
 pub fn run_pipeline(config: &WorldConfig, snowball: &SnowballConfig) -> Result<Pipeline, String> {
-    run_pipeline_sharded(config, snowball, 0)
-}
-
-/// [`run_pipeline`] with an explicit shard count (`0` = the default,
-/// otherwise a power of two) applied consistently to the chain's history
-/// and asset-state maps *and* the detector's classification memo. Shards
-/// are memory layout, never data: every artifact is byte-identical at
-/// every setting.
-pub fn run_pipeline_sharded(
-    config: &WorldConfig,
-    snowball: &SnowballConfig,
-    shards: usize,
-) -> Result<Pipeline, String> {
     let t0 = Instant::now();
-    let world = World::build_opts(config, snowball.threads, shards)?;
+    let world = World::build_with(config, snowball.threads)?;
     let t1 = Instant::now();
-    let cache =
-        if shards == 0 { ClassificationCache::new() } else { ClassificationCache::with_shards(shards) };
+    let cache = ClassificationCache::new();
     let dataset = build_dataset_with_cache(&world.chain, &world.labels, snowball, &cache);
     let t2 = Instant::now();
     let cluster_cfg = ClusterConfig { threads: snowball.threads };

@@ -1,8 +1,6 @@
 //! The sequential-oracle contract for family clustering: `cluster_with`
 //! must produce a byte-identical serialized [`Clustering`] at every
-//! thread count AND every chain shard count, on generated worlds and
-//! hand-built micro-worlds alike — and the serialized chain artifact
-//! must not change when the history index is resharded.
+//! thread count, on generated worlds and hand-built micro-worlds alike.
 
 use daas_chain::{
     Chain, ContractKind, EntryStyle, LabelSource, LabelStore, ProfitSharingSpec,
@@ -111,30 +109,6 @@ fn thread_counts_agree_on_small_world() {
 }
 
 #[test]
-fn shard_counts_change_nothing() {
-    let (chain, labels, dataset) = micro_world(6, 2);
-    let baseline_chain = serde_json::to_string(&chain).expect("chain serialises");
-    let oracle = json(&cluster_with(&chain, &labels, &dataset, &cfg(1)));
-    for shards in [1usize, 4, 16] {
-        let mut resharded = chain.clone();
-        resharded.set_history_shards(shards);
-        assert_eq!(
-            serde_json::to_string(&resharded).expect("chain serialises"),
-            baseline_chain,
-            "resharding to {shards} changed the serialized chain artifact"
-        );
-        for threads in [1usize, 2, 0] {
-            let clustering = cluster_with(&resharded, &labels, &dataset, &cfg(threads));
-            assert_eq!(
-                json(&clustering),
-                oracle,
-                "shards={shards} threads={threads} diverged"
-            );
-        }
-    }
-}
-
-#[test]
 fn forensics_agrees_across_threads() {
     let world = World::build(&WorldConfig::tiny(11)).expect("world");
     let dataset = build_dataset(&world.chain, &world.labels, &SnowballConfig::default());
@@ -164,21 +138,17 @@ fn forensics_agrees_across_threads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The history shard count is a memory layout, never data: for
-    /// arbitrary micro-world shapes, any power-of-two shard count and
-    /// any thread count produce the oracle's exact clustering bytes.
+    /// For arbitrary micro-world shapes, any thread count produces the
+    /// oracle's exact clustering bytes.
     #[test]
-    fn shard_count_never_changes_clustering(
+    fn thread_count_never_changes_micro_clustering(
         operators in 1usize..7,
         victims in 1usize..4,
-        shard_pow in 0u32..6,
         threads in 1usize..6,
     ) {
         let (chain, labels, dataset) = micro_world(operators, victims);
         let oracle = json(&cluster_with(&chain, &labels, &dataset, &cfg(1)));
-        let mut resharded = chain.clone();
-        resharded.set_history_shards(1 << shard_pow);
-        let clustering = cluster_with(&resharded, &labels, &dataset, &cfg(threads));
+        let clustering = cluster_with(&chain, &labels, &dataset, &cfg(threads));
         prop_assert_eq!(json(&clustering), oracle);
     }
 }

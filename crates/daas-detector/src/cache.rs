@@ -6,9 +6,7 @@
 //! transactions repeatedly. [`ClassificationCache`] memoises the
 //! verdict — including negative verdicts — keyed by transaction id, on
 //! a [`ShardedMemo`] so parallel expansion workers do not serialise on
-//! a single lock. The shard count defaults to the chain store's
-//! [`DEFAULT_SHARDS`] and is configurable for workloads with many more
-//! (or fewer) workers.
+//! a single lock.
 //!
 //! A cache is valid for exactly one [`ClassifierConfig`]; callers that
 //! sweep classifier settings (the ablation harness) must use a fresh
@@ -46,20 +44,9 @@ impl fmt::Debug for ClassificationCache {
 }
 
 impl ClassificationCache {
-    /// Creates an empty cache with [`daas_chain::DEFAULT_SHARDS`] shards.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         ClassificationCache { memo: ShardedMemo::new() }
-    }
-
-    /// Creates an empty cache with `shards` shards. Must be a power of
-    /// two (debug-asserted).
-    pub fn with_shards(shards: usize) -> Self {
-        ClassificationCache { memo: ShardedMemo::with_shards(shards) }
-    }
-
-    /// Number of shards the cache is split into.
-    pub fn shard_count(&self) -> usize {
-        self.memo.shard_count()
     }
 
     /// Classifies `txid` through the cache: returns the memoised
@@ -157,13 +144,11 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.len(), 0);
         assert!(!cache.contains(0));
-        assert_eq!(cache.shard_count(), daas_chain::DEFAULT_SHARDS);
     }
 
     #[test]
-    fn clear_resets_shards() {
-        let cache = ClassificationCache::with_shards(4);
-        assert_eq!(cache.shard_count(), 4);
+    fn clear_empties_the_cache() {
+        let cache = ClassificationCache::new();
         cache.memo.get_or_compute(3, || None);
         assert_eq!(cache.len(), 1);
         assert!(cache.contains(3));

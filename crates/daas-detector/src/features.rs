@@ -64,22 +64,15 @@ pub struct FeatureCache<'a> {
     /// Per-contract observation aggregates, replacing the
     /// `O(observations)` filter per contract.
     obs_stats: HashMap<Address, ObsStats>,
-    /// Keyed by interned id: probes hash 4 bytes and shard placement is
-    /// the id's low bits. Accounts the chain has never seen have no id —
-    /// their features are the default and are not memoised.
+    /// Keyed by interned id: probes hash 4 bytes. Accounts the chain
+    /// has never seen have no id — their features are the default and
+    /// are not memoised.
     memo: ShardedMemo<AddrId, AccountFeatures>,
 }
 
 impl<'a> FeatureCache<'a> {
-    /// Builds the cache (indexes the dataset's observations; one pass)
-    /// with [`daas_chain::DEFAULT_SHARDS`] memo shards.
+    /// Builds the cache (indexes the dataset's observations; one pass).
     pub fn new(chain: &'a Chain, dataset: &'a Dataset) -> Self {
-        Self::with_shards(chain, dataset, daas_chain::DEFAULT_SHARDS)
-    }
-
-    /// Builds the cache with `shards` memo shards (power of two,
-    /// debug-asserted).
-    pub fn with_shards(chain: &'a Chain, dataset: &'a Dataset, shards: usize) -> Self {
         let mut obs_by_tx = HashMap::with_capacity(dataset.observations.len());
         let mut obs_stats: HashMap<Address, ObsStats> = HashMap::new();
         for (i, obs) in dataset.observations.iter().enumerate() {
@@ -102,7 +95,7 @@ impl<'a> FeatureCache<'a> {
             dataset,
             obs_by_tx,
             obs_stats,
-            memo: ShardedMemo::with_shards(shards),
+            memo: ShardedMemo::new(),
         }
     }
 

@@ -132,7 +132,7 @@ pub struct OnlineDetector {
     /// interned ids — the membership probe hashes 4 bytes. Maintained by
     /// [`Self::absorb_noting`], the only place the detector's dataset
     /// grows.
-    members: txgraph::FxHashSet<AddrId>,
+    members: eth_types::FxHashSet<AddrId>,
     /// Present only while a poll is in flight (see [`WindowMask`]).
     window: Option<WindowMask>,
     /// Scratch buffer for touched-id extraction, reused across
@@ -157,7 +157,7 @@ impl OnlineDetector {
             cursor: 0,
             cache,
             touch_min: txgraph::CowMap::new(),
-            members: txgraph::FxHashSet::default(),
+            members: eth_types::FxHashSet::default(),
             window: None,
             touched_scratch: Vec::new(),
         }

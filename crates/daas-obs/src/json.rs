@@ -106,11 +106,10 @@ pub fn fmt_num(out: &mut String, v: f64) {
 /// Parses one JSON document. Returns the value and errors on trailing
 /// garbage (other than whitespace).
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -131,13 +130,18 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+// The parse functions take the whole `&str` so string contents can be
+// sliced out of it as already-validated UTF-8; positions only ever
+// land after an ASCII byte, so every slice starts on a char boundary.
+
+fn parse_value(input: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(input, pos),
+        Some(b'[') => parse_array(input, pos),
+        Some(b'"') => Ok(Value::Str(parse_string(input, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -173,7 +177,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -209,19 +214,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Multi-byte UTF-8 sequences pass through untouched:
-                // find the char boundary via the original str.
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain characters up to the next quote
+                // or backslash in one slice: both are ASCII, so the run
+                // ends on a char boundary, and each byte is visited once.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"') | Some(b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&input[start..*pos]);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(input: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -230,7 +237,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(input, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -319,7 +326,8 @@ fn validate_at(schema: &Value, doc: &Value, path: &str, errors: &mut Vec<String>
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(input: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -329,10 +337,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        map.insert(key, parse_value(bytes, pos)?);
+        map.insert(key, parse_value(input, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -369,6 +377,33 @@ mod tests {
         let mut doc = String::new();
         escape_into(&mut doc, nasty);
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn parses_megabyte_documents_in_linear_time() {
+        // ≥ 1 MB of strings mixing ASCII, escapes and 2-, 3- and 4-byte
+        // characters. The quadratic parser this replaced needed
+        // seconds for a few hundred KB; a linear one needs milliseconds.
+        let strings: Vec<String> = (0..20_000)
+            .map(|i| format!("é{i}→ \"addr\" ✓ 🦀 {}", "x".repeat(i % 64)))
+            .collect();
+        let mut doc = String::from("[");
+        for (i, s) in strings.iter().enumerate() {
+            if i > 0 {
+                doc.push(',');
+            }
+            escape_into(&mut doc, s);
+        }
+        doc.push(']');
+        assert!(doc.len() >= 1 << 20, "document is only {} bytes", doc.len());
+
+        let started = std::time::Instant::now();
+        let value = parse(&doc).unwrap();
+        let took = started.elapsed();
+        let parsed: Vec<&str> =
+            value.as_arr().unwrap().iter().map(|v| v.as_str().unwrap()).collect();
+        assert_eq!(parsed, strings);
+        assert!(took.as_secs() < 5, "parse took {took:?}");
     }
 
     #[test]

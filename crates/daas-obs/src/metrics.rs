@@ -614,18 +614,29 @@ mod tests {
         reset();
         crate::set_enabled(true);
         let stop = std::sync::atomic::AtomicBool::new(false);
+        // Every writer records once before the snapshot loop starts, so
+        // the snapshots always sweep live writers (otherwise a fast
+        // loop can finish before any writer thread is scheduled).
+        let started = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for t in 0..3 {
-                let stop = &stop;
+                let (stop, started) = (&stop, &started);
                 scope.spawn(move || {
                     let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         observe_ms("torn.h_ms", ((t * 31 + i) % 13) as f64);
                         add("torn.c", 1);
+                        if i == 0 {
+                            started.wait();
+                        }
                         i += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                 });
             }
+            started.wait();
             for _ in 0..200 {
                 let (snap, _) = snapshot_metrics();
                 if let Some(hist) = snap.histograms.get("torn.h_ms") {

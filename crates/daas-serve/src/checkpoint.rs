@@ -30,8 +30,6 @@ pub struct EngineCheckpoint {
     pub config: WorldConfig,
     /// Snowball / classifier configuration.
     pub snowball: SnowballConfig,
-    /// Shard count for history maps and the classification memo.
-    pub shards: usize,
     /// Publication epoch at checkpoint time.
     pub epoch: u64,
     /// Windows ingested so far (continues the window index sequence).

@@ -17,7 +17,7 @@ use daas_cluster::{Clustering, OnlineClusterer, OnlineClustererStats};
 use daas_detector::{ClassificationCache, Dataset, DatasetCounts, OnlineDetector, SnowballConfig};
 use daas_measure::{LiveMeasure, MeasureConfig, MeasureReports};
 use daas_world::{collection_end, World, WorldConfig};
-use daas_chain::TxId;
+use daas_chain::{MemoStats, TxId};
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::snapshot::{Snapshot, SnapshotCell};
@@ -59,7 +59,6 @@ pub struct LiveWindowStats {
 pub struct Engine {
     config: WorldConfig,
     snowball: SnowballConfig,
-    shards: usize,
     world: World,
     cache: Arc<ClassificationCache>,
     detector: OnlineDetector,
@@ -83,17 +82,9 @@ pub struct Engine {
 impl Engine {
     /// Builds the world and an engine at transaction 0, publishing the
     /// empty epoch-0 snapshot.
-    pub fn new(
-        config: &WorldConfig,
-        snowball: &SnowballConfig,
-        shards: usize,
-    ) -> Result<Self, String> {
-        let world = World::build_opts(config, snowball.threads, shards)?;
-        let cache = Arc::new(if shards == 0 {
-            ClassificationCache::new()
-        } else {
-            ClassificationCache::with_shards(shards)
-        });
+    pub fn new(config: &WorldConfig, snowball: &SnowballConfig) -> Result<Self, String> {
+        let world = World::build_with(config, snowball.threads)?;
+        let cache = Arc::new(ClassificationCache::new());
         let detector = OnlineDetector::with_cache(snowball.clone(), Arc::clone(&cache));
         let clusterer =
             OnlineClusterer::with_cache(snowball.classifier.clone(), Arc::clone(&cache));
@@ -102,7 +93,6 @@ impl Engine {
         Ok(Engine {
             config: config.clone(),
             snowball: snowball.clone(),
-            shards,
             world,
             cache,
             detector,
@@ -145,6 +135,7 @@ impl Engine {
         let last_block = last.number;
         let watermark = last.first_tx + last.tx_count;
         let _window_span = daas_obs::span!("live.window", index = self.windows, watermark = watermark);
+        let cache_before = daas_obs::enabled().then(|| self.cache.stats());
 
         let before = self.detector.dataset().counts();
         let td = Instant::now();
@@ -196,12 +187,31 @@ impl Engine {
             daas_obs::observe_ms_l("live.window.update_ms", "stage", "measure", ms(measure_time));
             daas_obs::observe_ms("serve.ingest_ms", ms(t_all.elapsed()));
         }
+        self.record_cache_traffic(cache_before);
         Some(stats)
     }
 
+    /// Records the classification-memo traffic since `before` (the
+    /// window's own hits and misses, not the memo's lifetime totals)
+    /// and its current size — the counters the batch snowball records.
+    fn record_cache_traffic(&self, before: Option<MemoStats>) {
+        if let Some(before) = before {
+            let stats = self.cache.stats();
+            daas_obs::add("cache.classify.hit", stats.hits.saturating_sub(before.hits));
+            daas_obs::add("cache.classify.miss", stats.misses.saturating_sub(before.misses));
+            daas_obs::gauge("cache.classify.entries", stats.entries as f64);
+        }
+    }
+
     /// Drains any tail past the last sealed block (also covers empty
-    /// worlds) and publishes a final epoch. Idempotent.
+    /// worlds) and publishes a final epoch. Idempotent: once the stream
+    /// is done the published snapshot already reflects it, so a repeat
+    /// call publishes nothing and readers keep the epoch's warm indices.
     pub fn finish_stream(&mut self) {
+        if self.done() {
+            return;
+        }
+        let cache_before = daas_obs::enabled().then(|| self.cache.stats());
         let total_txs = self.world.chain.transactions().len() as TxId;
         let events = self.detector.poll(&self.world.chain, &self.world.labels);
         self.clusterer.ingest(
@@ -215,6 +225,7 @@ impl Engine {
         self.next_block = self.world.chain.blocks().len();
         let families = self.clusterer.clustering(&self.world.labels).families;
         self.publish(families);
+        self.record_cache_traffic(cache_before);
     }
 
     /// Runs every remaining window, then the tail drain. `on_window`
@@ -353,7 +364,6 @@ impl Engine {
             version: EngineCheckpoint::VERSION,
             config: self.config.clone(),
             snowball: self.snowball.clone(),
-            shards: self.shards,
             epoch: self.epoch,
             windows: self.windows,
             detector: self.detector.checkpoint(&self.world.chain),
@@ -375,7 +385,7 @@ impl Engine {
                 EngineCheckpoint::VERSION
             ));
         }
-        let mut engine = Engine::new(&ckpt.config, &ckpt.snowball, ckpt.shards)?;
+        let mut engine = Engine::new(&ckpt.config, &ckpt.snowball)?;
         engine.detector = OnlineDetector::restore(
             ckpt.snowball.clone(),
             Arc::clone(&engine.cache),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! daas-serve [--seed N] [--scale F] [--preset paper|small|tiny|micro]
-//!            [--threads N] [--shards N] [--window BLOCKS]
+//!            [--threads N] [--window BLOCKS]
 //!            [--socket PATH] [--readers N]
 //!            [--scrape-addr HOST:PORT] [--slo SPEC.json]
 //!            [--restore CKPT.json] [--metrics-out PATH] [--trace-out PATH]
@@ -34,7 +34,6 @@ fn main() -> ExitCode {
     let mut scale = 0.1f64;
     let mut preset = String::from("paper");
     let mut threads = 0usize;
-    let mut shards = 0usize;
     let mut window = 64u64;
     let mut socket: Option<PathBuf> = None;
     let mut readers = 2usize;
@@ -75,10 +74,6 @@ fn main() -> ExitCode {
             "--threads" => match operand!("--threads").parse() {
                 Ok(v) => threads = v,
                 Err(_) => return usage("--threads needs an integer"),
-            },
-            "--shards" => match operand!("--shards").parse() {
-                Ok(v) => shards = v,
-                Err(_) => return usage("--shards needs an integer"),
             },
             "--window" => match operand!("--window").parse() {
                 Ok(v) if v > 0 => window = v,
@@ -143,7 +138,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let snowball = SnowballConfig { threads, ..Default::default() };
-            Engine::new(&config, &snowball, shards)
+            Engine::new(&config, &snowball)
         }
     };
     let engine = match engine {
@@ -214,7 +209,7 @@ fn usage(error: &str) -> ExitCode {
     }
     eprintln!(
         "usage: daas-serve [--seed N] [--scale F] [--preset paper|small|tiny|micro]\n\
-         \x20                 [--threads N] [--shards N] [--window BLOCKS]\n\
+         \x20                 [--threads N] [--window BLOCKS]\n\
          \x20                 [--socket PATH] [--readers N] [--restore CKPT.json]\n\
          \x20                 [--scrape-addr HOST:PORT] [--slo SPEC.json]\n\
          \x20                 [--metrics-out PATH] [--trace-out PATH]"

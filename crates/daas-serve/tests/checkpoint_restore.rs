@@ -30,11 +30,11 @@ fn final_artifact(engine: &mut Engine) -> String {
 fn assert_restart_converges(config: &WorldConfig, window: u64, kill_after: usize) {
     let snowball = SnowballConfig { threads: 1, ..Default::default() };
 
-    let mut uninterrupted = Engine::new(config, &snowball, 0).expect("engine");
+    let mut uninterrupted = Engine::new(config, &snowball).expect("engine");
     while uninterrupted.ingest_window(window).is_some() {}
     let expected = final_artifact(&mut uninterrupted);
 
-    let mut engine = Engine::new(config, &snowball, 0).expect("engine");
+    let mut engine = Engine::new(config, &snowball).expect("engine");
     for _ in 0..kill_after {
         if engine.ingest_window(window).is_none() {
             break;
@@ -72,7 +72,7 @@ fn restore_after_final_window_is_idempotent() {
 fn restored_engine_resumes_at_the_checkpoint_watermark() {
     let config = WorldConfig::micro(42);
     let snowball = SnowballConfig { threads: 1, ..Default::default() };
-    let mut engine = Engine::new(&config, &snowball, 0).expect("engine");
+    let mut engine = Engine::new(&config, &snowball).expect("engine");
     engine.ingest_window(40);
     engine.ingest_window(40);
     let watermark = engine.watermark();

@@ -7,12 +7,12 @@ use std::thread;
 
 use daas_detector::SnowballConfig;
 use daas_serve::protocol::{answer_query, Request};
-use daas_serve::Engine;
+use daas_serve::{handle_control, Engine};
 use daas_world::WorldConfig;
 
 fn engine(config: &WorldConfig) -> Engine {
     let snowball = SnowballConfig { threads: 1, ..Default::default() };
-    Engine::new(config, &snowball, 0).expect("engine")
+    Engine::new(config, &snowball).expect("engine")
 }
 
 #[test]
@@ -129,8 +129,33 @@ fn idle_window_publishes_cheap_epochs() {
     // Stream exhausted: further ingests are None and don't publish.
     assert!(eng.ingest_window(16).is_none());
     assert_eq!(eng.epoch(), epoch_after_all);
-    // finish_stream still publishes a final (idempotent) epoch.
-    eng.finish_stream();
+    // The last window already published the finished stream, so
+    // finish_stream has nothing to drain and publishes nothing.
     assert!(eng.done());
     assert!(eng.snapshot().done);
+    eng.finish_stream();
+    assert_eq!(eng.epoch(), epoch_after_all);
+}
+
+/// `artifact` on a finished stream publishes nothing: the second of two
+/// back-to-back requests leaves the published snapshot (and so its warm
+/// reader indices) in place and returns the same bytes.
+#[test]
+fn repeated_artifact_keeps_the_published_epoch() {
+    let mut eng = engine(&WorldConfig::micro(42));
+    eng.ingest_window(40).expect("a first window");
+    let measure = daas_measure::MeasureConfig::sequential();
+    let artifact = Request::parse("{\"cmd\":\"artifact\"}").unwrap();
+    let status = Request::parse("{\"cmd\":\"status\"}").unwrap();
+
+    let (first, shutdown) = handle_control(&mut eng, &artifact, 64, &measure);
+    assert!(!shutdown);
+    assert!(first.starts_with("{\"ok\":true"), "{first}");
+    let published = eng.snapshot();
+    let status_after_first = answer_query(&published, &status).unwrap();
+
+    let (second, _) = handle_control(&mut eng, &artifact, 64, &measure);
+    assert_eq!(second, first, "artifact bytes changed between requests");
+    assert_eq!(answer_query(&eng.snapshot(), &status).unwrap(), status_after_first);
+    assert!(Arc::ptr_eq(&published, &eng.snapshot()), "a new epoch was published");
 }

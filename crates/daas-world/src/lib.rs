@@ -75,13 +75,6 @@ impl World {
         gen::build_with(config, threads)
     }
 
-    /// [`World::build_with`] plus an explicit chain shard count (`0` =
-    /// the default, otherwise a power of two). Shards are memory layout,
-    /// never data.
-    pub fn build_opts(config: &WorldConfig, threads: usize, shards: usize) -> Result<World, String> {
-        gen::build_opts(config, threads, shards)
-    }
-
     /// A crawler over this world's website population (the urlscan.io
     /// stand-in), honouring taken-down sites.
     pub fn crawler(&self) -> WorldCrawler<'_> {

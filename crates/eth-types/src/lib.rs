@@ -14,6 +14,9 @@
 //! * [`rlp`] — the minimal subset of RLP encoding required for `CREATE`
 //!   address derivation.
 //! * [`units`] — wei/gwei/ether conversions and display helpers.
+//! * [`FxHasher`] / [`FxHashMap`] / [`FxHashSet`] — the workspace's one
+//!   deterministic hasher for its trusted, uniform keys, and
+//!   [`fx_shard`], the one shard-placement function built on it.
 //!
 //! Everything here is deterministic and allocation-light, in keeping with
 //! the event-driven, no-surprises style of the networking guides this
@@ -23,6 +26,7 @@
 #![warn(missing_docs)]
 
 mod address;
+mod fx;
 mod hash;
 mod hexcodec;
 mod intern;
@@ -31,6 +35,7 @@ mod u256;
 pub mod units;
 
 pub use address::Address;
+pub use fx::{fx_shard, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{AddrId, AddrInterner};
 pub use hash::{keccak256, H256};
 pub use hexcodec::{decode_hex, encode_hex, HexError};

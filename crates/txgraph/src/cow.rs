@@ -10,111 +10,40 @@
 //!   `Arc`-shared shards, so a clone copies shard *pointers* only.
 //! * **O(delta) divergence.** After a clone, a write copies exactly the
 //!   touched shard (`Arc::make_mut`); untouched shards stay structurally
-//!   shared between the snapshot and the evolving state, mirroring the
-//!   `daas-chain` `ShardedHistories` discipline.
+//!   shared between the snapshot and the evolving state.
 //!
-//! Shard selection uses the same deterministic Fx hash the chain's
-//! internal maps use (see `daas-chain`'s `hash` module): keys here are
+//! Shard selection and the shard interiors use the workspace's one
+//! deterministic hasher, [`eth_types::FxHasher`]: keys here are
 //! keccak-derived addresses, tx ids and small integers — uniform and
 //! attacker-free — so the rustc-style multiply-xor hash is both safe and
-//! a few cycles per key. The shard index is taken from the *middle* bits
-//! of the hash: the inner tables re-use the low bits for bucket
-//! placement and the top bits for control bytes, so carving the shard
-//! out of either would cluster every shard-mate into the same buckets.
+//! a few cycles per key. Placement is [`eth_types::fx_shard`], which
+//! takes the hash's middle bits so shard-mates do not cluster in the
+//! inner tables' buckets.
 //!
 //! Iteration order is unspecified (per-shard hash order). Every consumer
 //! that emits artifacts sorts what it extracts — the same contract the
 //! chain's Fx-hashed maps already follow.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// Multiplicative constant from the Firefox/rustc Fx hash (the golden
-/// ratio scaled to 64 bits) — kept identical to `daas-chain`'s hasher so
-/// layout behaviour matches across the workspace.
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+use eth_types::{fx_shard, FxHashMap};
 
-/// The rustc-style Fx hasher: `hash = (hash rotl 5 ^ word) * SEED` per
-/// input word. Not DoS-resistant — only for keccak-derived, trusted keys.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`] (zero-sized, deterministic).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` keyed by the deterministic Fx hash.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed by the deterministic Fx hash.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
-/// Default shard count: enough that a post-snapshot write copies ~1.5%
-/// of the entries, small enough that cloning stays a pointer memcpy.
-const DEFAULT_SHARDS: usize = 64;
+/// Shard count: enough that a post-snapshot write copies ~1.5% of the
+/// entries, small enough that cloning stays a pointer memcpy.
+const SHARDS: usize = 64;
 
 /// An `Arc`-sharded copy-on-write hash map. See the module docs for the
 /// cost model; the API is the `HashMap` subset the streaming state
 /// machines need.
 pub struct CowMap<K, V> {
     shards: Vec<Arc<FxHashMap<K, V>>>,
-    mask: u64,
     len: usize,
 }
 
 impl<K, V> Clone for CowMap<K, V> {
     fn clone(&self) -> Self {
-        CowMap { shards: self.shards.clone(), mask: self.mask, len: self.len }
+        CowMap { shards: self.shards.clone(), len: self.len }
     }
 }
 
@@ -131,19 +60,9 @@ impl<K, V> Default for CowMap<K, V> {
 }
 
 impl<K, V> CowMap<K, V> {
-    /// An empty map with the default shard count.
+    /// An empty map.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty map with `shards` shards (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        CowMap {
-            shards: (0..shards).map(|_| Arc::new(FxHashMap::default())).collect(),
-            mask: shards as u64 - 1,
-            len: 0,
-        }
+        CowMap { shards: (0..SHARDS).map(|_| Arc::new(FxHashMap::default())).collect(), len: 0 }
     }
 
     /// Number of entries.
@@ -170,11 +89,7 @@ impl<K, V> CowMap<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     #[inline]
     fn shard_of(&self, key: &K) -> usize {
-        let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        // Middle bits: the inner table consumes the low bits (bucket
-        // index) and top bits (control bytes).
-        ((hasher.finish() >> 32) & self.mask) as usize
+        fx_shard(key, SHARDS - 1)
     }
 
     /// Looks up a key.
@@ -252,7 +167,7 @@ pub struct CowSet<T> {
 }
 
 impl<T> CowSet<T> {
-    /// An empty set with the default shard count.
+    /// An empty set.
     pub fn new() -> Self {
         CowSet { map: CowMap::new() }
     }
@@ -387,17 +302,5 @@ mod tests {
         assert!(!s.remove(&(1, 10)));
         assert!(s.is_empty());
         assert!(snap.contains(&(1, 10)), "snapshot unaffected by removal");
-    }
-
-    #[test]
-    fn hasher_is_deterministic() {
-        let h = |bytes: &[u8]| {
-            let mut hasher = FxHasher::default();
-            hasher.write(bytes);
-            hasher.finish()
-        };
-        assert_eq!(h(&[1u8; 20]), h(&[1u8; 20]));
-        assert_ne!(h(&[1u8; 20]), h(&[2u8; 20]));
-        assert_ne!(h(&[0u8; 3]), h(&[0u8; 4]), "tail length is mixed in");
     }
 }

@@ -19,7 +19,7 @@
 mod cow;
 mod flow;
 
-pub use cow::{CowMap, CowSet, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use cow::{CowMap, CowSet};
 pub use flow::ValueGraph;
 
 use std::collections::{HashMap, HashSet, VecDeque};

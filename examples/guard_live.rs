@@ -20,7 +20,7 @@ use wallet_guard::LiveGuardClient;
 fn main() -> Result<(), String> {
     let config = WorldConfig::tiny(42);
     let snowball = SnowballConfig::default();
-    let engine = Engine::new(&config, &snowball, 0)?;
+    let engine = Engine::new(&config, &snowball)?;
     // Keep a handle on the publication cell: the example reads the
     // final snapshot directly to pick real addresses to query.
     let cell = engine.snapshot_cell();

@@ -12,7 +12,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use daas_cli::{run_pipeline_sharded, Pipeline};
+use daas_cli::{run_pipeline, Pipeline};
 use daas_lab::detector::SnowballConfig;
 use daas_lab::measure::MeasureConfig;
 use daas_lab::obs;
@@ -30,7 +30,7 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 /// (dataset, clustering, reports) of a one-shot batch run.
 fn batch_artifacts(config: &WorldConfig, threads: usize) -> (String, String, String) {
     let snowball = SnowballConfig { threads, ..Default::default() };
-    let pipeline = run_pipeline_sharded(config, &snowball, 0).expect("pipeline");
+    let pipeline = run_pipeline(config, &snowball).expect("pipeline");
     let measured = pipeline.measured(&MeasureConfig { threads });
     (json(&pipeline.dataset), json(&pipeline.clustering), json(&measured.reports))
 }
@@ -38,7 +38,7 @@ fn batch_artifacts(config: &WorldConfig, threads: usize) -> (String, String, Str
 /// (dataset, clustering, reports, batch_matches) of a streaming replay.
 fn live_artifacts(config: &WorldConfig, threads: usize) -> (String, String, String, bool) {
     let snowball = SnowballConfig { threads, ..Default::default() };
-    let run = Pipeline::live(config, &snowball, 0, 7, &MeasureConfig { threads }, |_| {})
+    let run = Pipeline::live(config, &snowball, 7, &MeasureConfig { threads }, |_| {})
         .expect("live pipeline");
     (json(&run.dataset), json(&run.clustering), json(&run.reports), run.batch_matches)
 }
